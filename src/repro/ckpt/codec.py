@@ -179,13 +179,18 @@ class CheckpointCodec:
                 f"closure, lambda, or open resource ({exc})"
             ) from exc
         sections: Dict[str, int] = {}
-        for name, component in components.items():
-            try:
-                sections[name] = len(
-                    pickle.dumps(component, protocol=pickle.HIGHEST_PROTOCOL)
-                )
-            except Exception:  # pragma: no cover - the joint dump succeeded
-                sections[name] = -1
+        if len(components) == 1:
+            # The usual case (experiments save themselves as one component):
+            # the joint payload is the section, give or take the dict wrapper.
+            sections[next(iter(components))] = len(payload)
+        else:
+            for name, component in components.items():
+                try:
+                    sections[name] = len(
+                        pickle.dumps(component, protocol=pickle.HIGHEST_PROTOCOL)
+                    )
+                except Exception:  # pragma: no cover - the joint dump succeeded
+                    sections[name] = -1
         header = CheckpointHeader(
             schema=CheckpointCodec.schema,
             kind=kind,

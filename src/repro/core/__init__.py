@@ -34,7 +34,7 @@ from .priority import (
     make_priority_scheme,
 )
 from .rau import ChannelMapping, ChannelMappingStore, MappingError, RoutingArbitrationUnit
-from .router import InputPort, Router
+from .router import InputPort, InvariantViolation, Router
 from .status_vectors import ActivitySet, BitVector, StatusBank
 from .switch_scheduler import (
     DecScheduler,
@@ -98,6 +98,7 @@ __all__ = [
     "MappingError",
     "RoutingArbitrationUnit",
     "InputPort",
+    "InvariantViolation",
     "Router",
     "ActivitySet",
     "BitVector",

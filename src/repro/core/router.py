@@ -51,6 +51,14 @@ OutputHandler = Callable[[Flit, int], None]
 CreditReturnHandler = Callable[[int], None]
 
 
+class InvariantViolation(AssertionError):
+    """A router's cross-structure state disagrees with itself.
+
+    Subclasses ``AssertionError`` so callers written against the checked
+    mode's original ``assert`` statements keep catching it.
+    """
+
+
 class InputPort:
     """One physical input link: its virtual channels and status bank."""
 
@@ -904,62 +912,72 @@ class Router:
           (a desync here would let the kernel skip a busy router);
         * the RAU's direct/reverse stores are mirror images.
 
-        Raises ``AssertionError`` on the first violation.
+        Raises :class:`InvariantViolation` on the first violation — a real
+        raise, so the check also holds under ``python -O``.
         """
         for port in self.input_ports:
             status = port.status
             scheduler = self.link_schedulers[port.port]
             for vc in port.vcs:
                 has_flits = status.vector("flits_available").test(vc.index)
-                assert has_flits == (vc.occupancy > 0), (
-                    f"{self.name}: flits_available desync at "
-                    f"{port.port}.{vc.index}"
-                )
-                if status.vector("input_buffer_full").test(vc.index):
-                    assert vc.is_full, (
-                        f"{self.name}: input_buffer_full set on non-full "
+                if has_flits != (vc.occupancy > 0):
+                    raise InvariantViolation(
+                        f"{self.name}: flits_available desync at "
                         f"{port.port}.{vc.index}"
                     )
+                if status.vector("input_buffer_full").test(vc.index):
+                    if not vc.is_full:
+                        raise InvariantViolation(
+                            f"{self.name}: input_buffer_full set on non-full "
+                            f"{port.port}.{vc.index}"
+                        )
                 bound = vc.connection_id is not None
-                assert status.vector("connection_active").test(vc.index) == bound, (
-                    f"{self.name}: connection_active desync at "
-                    f"{port.port}.{vc.index}"
-                )
-                assert (vc.index in port._free_vcs) == (not bound), (
-                    f"{self.name}: free pool desync at {port.port}.{vc.index}"
-                )
+                if status.vector("connection_active").test(vc.index) != bound:
+                    raise InvariantViolation(
+                        f"{self.name}: connection_active desync at "
+                        f"{port.port}.{vc.index}"
+                    )
+                if (vc.index in port._free_vcs) == bound:
+                    raise InvariantViolation(
+                        f"{self.name}: free pool desync at {port.port}.{vc.index}"
+                    )
                 routed = bound and vc.output_port >= 0
-                assert status.vector("routed").test(vc.index) == routed, (
-                    f"{self.name}: routed desync at {port.port}.{vc.index}"
-                )
+                if status.vector("routed").test(vc.index) != routed:
+                    raise InvariantViolation(
+                        f"{self.name}: routed desync at {port.port}.{vc.index}"
+                    )
                 credits_bit = status.vector("credits_available").test(vc.index)
                 if routed:
-                    assert credits_bit == self._credit_check(
+                    if credits_bit != self._credit_check(
                         vc.output_port, vc.output_vc
-                    ), (
-                        f"{self.name}: credits_available desync at "
-                        f"{port.port}.{vc.index}"
-                    )
-                else:
-                    assert credits_bit, (
+                    ):
+                        raise InvariantViolation(
+                            f"{self.name}: credits_available desync at "
+                            f"{port.port}.{vc.index}"
+                        )
+                elif not credits_bit:
+                    raise InvariantViolation(
                         f"{self.name}: credits_available not parked at "
                         f"{port.port}.{vc.index}"
                     )
                 gate = scheduler._round_gate(vc) if bound else 0.0
                 exhausted = status.vector("round_budget_exhausted").test(vc.index)
-                assert exhausted == (gate is None), (
-                    f"{self.name}: round_budget_exhausted desync at "
-                    f"{port.port}.{vc.index}"
-                )
-                if gate is not None:
-                    assert vc.round_offset == gate, (
-                        f"{self.name}: round_offset desync at "
-                        f"{port.port}.{vc.index}: "
-                        f"{vc.round_offset} != {gate}"
+                if exhausted != (gate is None):
+                    raise InvariantViolation(
+                        f"{self.name}: round_budget_exhausted desync at "
+                        f"{port.port}.{vc.index}"
                     )
-            assert self.activity.test(port.port) == status.vector(
+                if gate is not None and vc.round_offset != gate:
+                    raise InvariantViolation(
+                        f"{self.name}: round_offset desync at "
+                        f"{port.port}.{vc.index}: {vc.round_offset} != {gate}"
+                    )
+            if self.activity.test(port.port) != status.vector(
                 "flits_available"
-            ).any(), f"{self.name}: activity bit desync at port {port.port}"
+            ).any():
+                raise InvariantViolation(
+                    f"{self.name}: activity bit desync at port {port.port}"
+                )
         self.rau.mappings.check_consistency()
 
     def utilisation(self) -> float:

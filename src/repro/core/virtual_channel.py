@@ -54,7 +54,6 @@ class VirtualChannel:
         "prio_base",
         "prio_div",
         "prio_key",
-        "history",
     )
 
     def __init__(self, port: int, index: int, capacity: int) -> None:
@@ -91,8 +90,6 @@ class VirtualChannel:
         self.prio_base: float = 0.0
         self.prio_div: float = 1.0
         self.prio_key: int = 0
-        # Output links already probed from this VC (EPB history store, §3.5).
-        self.history: set = set()
 
     # ----- connection binding ---------------------------------------------
 
@@ -141,7 +138,6 @@ class VirtualChannel:
         self.round_offset = 0.0
         self.prio_flit = None
         self.prio_conn = None
-        self.history.clear()
 
     # ----- buffer operations -----------------------------------------------
 

@@ -22,7 +22,7 @@ from ..ckpt.codec import (
 )
 from ..core.config import RouterConfig
 from ..core.priority import make_priority_scheme
-from ..network.connection import ConnectionManager
+from ..network.connection import ConnectionManager, NetworkConnection
 from ..network.interface import NetworkInterface, OpenStream
 from ..network.network import Network
 from ..network.topology import Topology, irregular, mesh, torus
@@ -244,8 +244,9 @@ class NetworkExperiment:
         streams: List[Tuple[int, OpenStream]] = []
         attempts = 0
         consecutive_failures = 0
+        load = LinkLoadTracker(network, topology)
         while consecutive_failures < 25:
-            if _mean_link_utilisation(network, topology) >= spec.target_link_load:
+            if load.reached(spec.target_link_load):
                 break
             src = demand_rng.randint(0, topology.num_nodes - 1)
             dst = demand_rng.randint(0, topology.num_nodes - 1)
@@ -258,6 +259,7 @@ class NetworkExperiment:
                 consecutive_failures += 1
                 continue
             consecutive_failures = 0
+            load.add(stream.connection)
             streams.append((dst, stream))
 
         self.spec = spec
@@ -496,7 +498,12 @@ def attach_delivery_log(experiment: NetworkExperiment) -> List[tuple]:
 
 
 def _mean_link_utilisation(network: Network, topology: Topology) -> float:
-    """Mean committed utilisation over router-to-router output links."""
+    """Mean committed utilisation over router-to-router output links.
+
+    The ordered left-to-right float sum is the reference the build loop's
+    :class:`LinkLoadTracker` must agree with bit for bit; keep it a plain
+    loop (``sum()`` over floats is compensated from Python 3.12 on).
+    """
     total = 0.0
     count = 0
     for node in range(topology.num_nodes):
@@ -507,6 +514,76 @@ def _mean_link_utilisation(network: Network, topology: Topology) -> float:
             total += router.admission.outputs[port].utilisation
             count += 1
     return total / count if count else 0.0
+
+
+class LinkLoadTracker:
+    """Exact running total of the router-to-router admission registers.
+
+    The build loop asks "has the mean link utilisation reached the
+    target?" before every admission attempt.  Rescanning every register
+    costs O(links) per attempt; like the hardware's per-link counters,
+    this keeps the integer sum ``allocated`` of register 1 over the
+    router-to-router output links and updates it by O(path) per
+    established (or torn-down) connection.  A refused attempt leaves no
+    trace in the integer registers, so it needs no update.
+
+    :meth:`reached` answers from the correctly rounded estimate
+    ``allocated / (round_length * links)`` unless it lies within the worst
+    rounding error of :func:`_mean_link_utilisation`'s float sum of the
+    target; only then does it run that scan, so the answer — and with it
+    every admission decision — matches the scan exactly.  The link set is
+    fixed at construction (links failing later are not followed).
+    """
+
+    def __init__(self, network: Network, topology: Topology) -> None:
+        self.network = network
+        self.topology = topology
+        links = [
+            (node, port)
+            for node in range(topology.num_nodes)
+            for port in range(topology.num_ports)
+            if topology.neighbor_on_port(node, port) is not None
+        ]
+        allocators = [
+            network.routers[node].admission.outputs[port] for node, port in links
+        ]
+        rounds = {allocator.round_length for allocator in allocators}
+        if len(rounds) > 1:
+            raise ValueError(
+                f"link allocators disagree on the round length: {sorted(rounds)}"
+            )
+        self._links = frozenset(links)
+        self.allocated = sum(allocator.allocated_cycles for allocator in allocators)
+        self._denominator = rounds.pop() * len(links) if links else 0
+        # The ordered n-term sum of correctly rounded quotients, then the
+        # division, is within (n + 2) u of the exact mean (u = 2**-53);
+        # the estimate itself within u.  2 (n + 3) u bounds both with room.
+        self._tolerance = 2 * (len(links) + 3) * 2.0**-53
+
+    def _link_cycles(self, connection: NetworkConnection) -> int:
+        hops = sum(
+            1
+            for node, port in zip(connection.path, connection.ports)
+            if (node, port) in self._links
+        )
+        return hops * connection.request.permanent_cycles
+
+    def add(self, connection: NetworkConnection) -> None:
+        """Account an established connection's router-to-router hops."""
+        self.allocated += self._link_cycles(connection)
+
+    def remove(self, connection: NetworkConnection) -> None:
+        """Account a torn-down connection."""
+        self.allocated -= self._link_cycles(connection)
+
+    def reached(self, target: float) -> bool:
+        """``_mean_link_utilisation(...) >= target``, in O(1) off the band."""
+        if not self._denominator:
+            return 0.0 >= target
+        estimate = self.allocated / self._denominator  # correctly rounded
+        if abs(estimate - target) > self._tolerance * max(estimate, target):
+            return estimate >= target
+        return _mean_link_utilisation(self.network, self.topology) >= target
 
 
 def _clone(stats: RunningStats) -> RunningStats:

@@ -11,6 +11,7 @@ Perfetto traces.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import platform
@@ -42,11 +43,21 @@ def config_digest(config: Any) -> str:
 
 
 def git_revision(repo_root: Optional[Path] = None) -> Optional[str]:
-    """The current git commit hash, or None outside a repository."""
+    """The current git commit hash, or None outside a repository.
+
+    Asked once per process and root: the code a running process has
+    loaded cannot change under it, so the first answer stays correct, and
+    manifests (one per checkpoint save) stop spawning ``git`` each time.
+    """
+    return _git_revision(repo_root or _REPO_ROOT)
+
+
+@functools.lru_cache(maxsize=None)
+def _git_revision(repo_root: Path) -> Optional[str]:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=repo_root or _REPO_ROOT,
+            cwd=repo_root,
             capture_output=True,
             text=True,
             timeout=5,

@@ -1,9 +1,16 @@
 """Router-level property tests: conservation and determinism under random
 workloads driven end to end through the scheduling pipeline."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.core.bandwidth import BandwidthRequest
 from repro.core.config import RouterConfig
 from repro.core.flit import Flit, FlitType
@@ -182,3 +189,34 @@ class TestStructuralInvariants:
         router.input_ports[0].status.vector("flits_available").set(3)
         with pytest.raises(AssertionError, match="flits_available desync"):
             router.check_invariants()
+
+    def test_invariants_raise_under_optimise(self):
+        """``python -O`` strips ``assert``; the check must still raise."""
+        script = textwrap.dedent(
+            """
+            from repro.core.config import RouterConfig
+            from repro.core.priority import BiasedPriority
+            from repro.core.router import InvariantViolation, Router
+            from repro.core.switch_scheduler import GreedyPriorityScheduler
+            from repro.sim.engine import Simulator
+
+            config = RouterConfig(num_ports=4, vcs_per_port=8, round_factor=4)
+            router = Router(
+                config, BiasedPriority(), GreedyPriorityScheduler(), Simulator()
+            )
+            router.input_ports[0].status.vector("flits_available").set(3)
+            try:
+                router.check_invariants()
+            except InvariantViolation as exc:
+                print("debug", __debug__, "raised", exc)
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("debug False raised ")
+        assert "flits_available desync at 0.3" in out.stdout

@@ -44,7 +44,6 @@ class TestBinding:
         vc.static_priority = 0.7
         vc.interarrival_cycles = 10.0
         vc.serviced_this_round = 2
-        vc.history.add(4)
         vc.release()
         assert vc.is_free
         assert vc.allocated_cycles == 0
@@ -53,7 +52,6 @@ class TestBinding:
         assert vc.static_priority == 0.0
         assert vc.interarrival_cycles == 1.0
         assert vc.serviced_this_round == 0
-        assert not vc.history
 
     def test_release_with_buffered_flits_rejected(self):
         vc = make_vc()
